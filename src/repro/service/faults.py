@@ -3,7 +3,7 @@
 The durable-orchestrator guarantee — ``kill -9`` at any instant loses
 nothing — is only worth claiming if the test suite can place the kill
 *at* the instants that matter: right after a journal append becomes
-durable, between granting a lease and spawning its worker, between
+durable, between granting a lease and handing it to a worker, between
 committing a result to the cache and journaling the completion.  This
 module provides those kill points, mirroring the conventions of
 :mod:`repro.runner.faults` (environment-controlled, one-shot via an
@@ -17,8 +17,9 @@ module provides those kill points, mirroring the conventions of
       fsynced (the record must survive; the transition it describes
       has not been acted on yet);
     - ``lease_grant`` — after the ``lease_granted`` record is durable
-      but before the worker process is spawned (a lease with no
-      living worker, the watchdog-reclaim case);
+      but before the task is sent to its (already running, idle)
+      worker: a lease no worker ever started, the watchdog-reclaim
+      case, and an idle worker that must exit on its pipe's EOF;
     - ``result_commit`` — after the result is written to the content-
       addressed cache but before ``task_completed`` is journaled (the
       re-run must dedupe against the cache, not recompute).

@@ -126,8 +126,8 @@ def classify_lease(
     timestamp the orchestrator tracks); ``lease_ttl_s`` is the maximum
     tolerated heartbeat silence.  A missing heartbeat file within the
     TTL of the grant is still ``live`` — the worker may not have
-    started up yet; after the TTL with no file, it is ``dead`` (the
-    spawn itself failed or was killed, the ``lease_grant`` kill-point
+    started the task yet; after the TTL with no file, it is ``dead``
+    (the task never reached a worker, the ``lease_grant`` kill-point
     case).
     """
     if task_timeout_s is not None and elapsed_s > task_timeout_s:
@@ -146,8 +146,9 @@ def classify_lease(
 class HeartbeatWriter:
     """Daemon thread touching a worker's heartbeat file periodically.
 
-    Started inside the worker process right after it comes up (so the
-    pid in the file is the worker's own), stopped on the way out.  A
+    Started inside the worker process when it takes a lease (so the
+    pid in the file is the worker's own), stopped once the lease's
+    outcome is published.  A
     daemon thread keeps the beat alive through long simulation steps
     that never return to Python — the exact wedge the ``stale`` verdict
     exists for is a *dead* heartbeat thread, which only happens when

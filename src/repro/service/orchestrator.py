@@ -4,9 +4,17 @@ One :class:`Orchestrator` owns one *service directory* — journal,
 inbox, leases, outcomes, quarantine, checkpoints, result cache,
 telemetry — and runs the scheduling loop: admit submissions from the
 inbox, dedupe against the content-addressed result cache, lease pending
-tasks to crash-isolated worker processes, watch their heartbeats,
-collect their outcome envelopes, retry deterministically, quarantine
-poison, and drain cleanly on request.
+tasks to at most ``max_workers`` persistent worker processes (one lease
+per worker at a time, so a crash fails only its own lease), watch their
+heartbeats, collect their outcome envelopes, retry deterministically,
+quarantine poison, and drain cleanly on request.
+
+The loop is event-driven: it blocks in
+:func:`multiprocessing.connection.wait` on the workers' pipes and
+sentinels and on a self-pipe that HTTP-originated work writes to, so a
+finished lease or a new submission is acted on at once.
+``poll_interval_s`` only bounds an idle wait, which is when inbox
+files, the ``DRAIN`` marker and watchdog deadlines are noticed.
 
 Crash-safety discipline (the tentpole invariant):
 
@@ -14,8 +22,8 @@ Crash-safety discipline (the tentpole invariant):
    record *before* it takes effect.  ``kill -9`` between the record and
    the effect is recovered by replaying the journal: the restarted
    orchestrator re-derives the effect from the record.
-2. **Effects are idempotent.**  Re-granting a lease whose worker never
-   spawned re-runs the task bit-identically (same
+2. **Effects are idempotent.**  Re-granting a lease that never reached
+   a worker re-runs the task bit-identically (same
    :class:`~repro.runner.seeding.SeedSpec`); re-committing a result the
    cache already holds dedupes on the cache key; re-writing an outcome
    is an atomic replace of identical bytes.
@@ -27,8 +35,9 @@ Crash-safety discipline (the tentpole invariant):
 
 Recovery of leases is adopt-or-reclaim: a lease whose worker is alive
 with a fresh heartbeat is *adopted* (the new orchestrator watches its
-outcome file — workers can outlive the orchestrator that spawned
-them); anything else is reclaimed without consuming an attempt (a dead
+outcome file — a worker outlives the orchestrator that forked it
+until it publishes its current outcome, then exits on its pipe's EOF);
+anything else is reclaimed without consuming an attempt (a dead
 orchestrator is not evidence against the task).
 """
 
@@ -39,10 +48,12 @@ import multiprocessing
 import os
 import shutil
 import signal as _signal
+import socket
 import threading
 import time
+from multiprocessing.connection import wait as _wait_ready
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from ..runner.cache import ResultCache, cache_key, result_checksum
 from ..runner.telemetry import TraceRecorder
@@ -70,7 +81,7 @@ from .worker import (
     outcome_path,
     read_outcome,
     task_from_description,
-    worker_main,
+    worker_loop,
 )
 
 __all__ = [
@@ -163,7 +174,8 @@ class ServiceConfig:
     """
 
     service_dir: Union[str, Path]
-    #: Concurrently leased worker processes.
+    #: Persistent local worker processes, forked on first dispatch
+    #: (``0`` = pure remote: only HTTP worker hosts execute).
     max_workers: int = 2
     #: Deterministic retries before quarantine: a task failing
     #: ``max_retries + 1`` attempts is poison, not unlucky.
@@ -177,7 +189,9 @@ class ServiceConfig:
     #: Admission control: a submission that would push pending+leased
     #: past this depth is rejected (backpressure, not silent loss).
     max_queue_depth: int = 10000
-    #: Scheduling-loop poll period.
+    #: Upper bound on one idle wait of the scheduling loop.  Worker
+    #: reports and HTTP-originated work wake it at once; inbox files,
+    #: the DRAIN marker and watchdog deadlines are seen within this.
     poll_interval_s: float = 0.05
     #: Checkpoint cadence for long simulate/collision points
     #: (``None`` = only the runner defaults).
@@ -215,6 +229,17 @@ class _RemoteLease:
 
 
 @dataclasses.dataclass
+class _Worker:
+    """One persistent local worker process and our end of its pipe."""
+
+    proc: multiprocessing.Process
+    conn: Any
+    #: The lease it runs: the handle of its pending "done" wakeup.
+    #: ``None`` = idle; a busy worker is never handed a second task.
+    task_id: Optional[str] = None
+
+
+@dataclasses.dataclass
 class _Inflight:
     """One leased task this incarnation is watching."""
 
@@ -224,9 +249,9 @@ class _Inflight:
     granted_monotonic: float
     span_id: Optional[str] = None
     task_index: Optional[int] = None
-    #: The worker process we spawned, or ``None`` for a lease adopted
-    #: from a previous incarnation (pid known only via heartbeat).
-    proc: Optional[multiprocessing.Process] = None
+    #: The worker running it, or ``None`` for a lease adopted from a
+    #: previous incarnation (pid known only via heartbeat).
+    worker: Optional[_Worker] = None
 
 
 class Orchestrator:
@@ -245,6 +270,15 @@ class Orchestrator:
         self.trace = TraceRecorder()
         self.spans = SpanRecorder(run_id=self.trace.run_id)
         self._inflight: Dict[str, _Inflight] = {}
+        self._workers: List[_Worker] = []
+        #: Pending tasks already looked up in the cache and missed: such
+        #: a task can only complete through ``_settle`` or
+        #: ``remote_complete``, which journal it themselves.
+        self._cache_missed: Set[str] = set()
+        #: Self-pipe, open while ``serve`` runs: writing a byte cuts the
+        #: loop's current wait short.
+        self._wake_r: Optional[socket.socket] = None
+        self._wake_w: Optional[socket.socket] = None
         #: Tasks leased to remote worker hosts over HTTP.
         self._remote: Dict[str, _RemoteLease] = {}
         #: Serializes every state mutation between the scheduling loop
@@ -351,6 +385,9 @@ class Orchestrator:
         self._sweep_span = self.spans.start(
             "service", workers=cfg.max_workers, resumed=resumed
         )
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         self.trace.record_run_start(
             detail=f"service tasks={len(self.state.tasks)}",
             span_id=self._sweep_span,
@@ -387,7 +424,7 @@ class Orchestrator:
                             break
                     elif not idle:
                         idle_since = None
-                    time.sleep(cfg.poll_interval_s)
+                    self._wait(cfg.poll_interval_s)
         finally:
             # Truthful shutdown telemetry even on an unexpected error:
             # spans close, the trace flushes, the journal records the
@@ -398,6 +435,11 @@ class Orchestrator:
                 if not drained:
                     self._release_inflight(terminate=False)
                     self._release_remote()
+                # An idle worker exits on its pipe's EOF.  One still
+                # running a lease (only after an unexpected error) is not
+                # waited for: its outcome is adopted on restart.
+                for worker in list(self._workers):
+                    self._retire(worker, join=worker.task_id is None)
                 self.state.incarnations.append(
                     self.journal.append(
                         "service_stop",
@@ -419,6 +461,8 @@ class Orchestrator:
             with self.lock:
                 self.closed = True
                 self.journal.close()
+                self._wake_r.close()
+                self._wake_w.close()
             try:
                 self.paths.pid_file.unlink()
             except OSError:
@@ -539,6 +583,7 @@ class Orchestrator:
                     kind=description.get("kind"),
                     span_id=self._sweep_span,
                 )
+            self._wake()
             return {
                 "accepted": True,
                 "submit_id": submit_id,
@@ -605,29 +650,67 @@ class Orchestrator:
             runtime["checkpoint_every_us"] = self.config.checkpoint_every_us
         return task_from_description(description, runtime=runtime)
 
+    def _complete_from_cache(self, record: Any) -> bool:
+        """Complete a pending task whose result the cache already holds.
+
+        Completed by a previous incarnation (or a prior sweep): the
+        ``result_commit`` crash window closes here.  Each pending task is
+        looked up once per incarnation; see ``_cache_missed``.
+        """
+        task_id = record.task_id
+        if task_id in self._cache_missed:
+            return False
+        cached = self.cache.get(task_id)
+        if cached is None:
+            self._cache_missed.add(task_id)
+            return False
+        self.journal.append(
+            "task_completed",
+            task_id=task_id,
+            source="cache",
+            result_sha256=result_checksum(cached),
+        )
+        record.state = TaskState.COMPLETED
+        record.completed_from = "cache"
+        self.trace.record(
+            "cache_hit",
+            task_index=self._task_index(task_id),
+            kind=record.kind,
+            span_id=self._sweep_span,
+        )
+        return True
+
+    def _idle_worker(self) -> _Worker:
+        """A live idle worker, forking a new one when none is free."""
+        for worker in list(self._workers):
+            if worker.task_id is None:
+                if worker.proc.is_alive():
+                    return worker
+                self._retire(worker)
+        conn, child = multiprocessing.Pipe()
+        proc = multiprocessing.Process(
+            target=worker_loop,
+            args=(child, [w.conn for w in self._workers] + [conn]),
+            name=f"service-worker-{len(self._workers)}",
+        )
+        proc.start()
+        child.close()
+        worker = _Worker(proc=proc, conn=conn)
+        self._workers.append(worker)
+        return worker
+
+    def _retire(self, worker: _Worker, join: bool = True) -> None:
+        """Drop a worker; closing its pipe tells a live one to exit."""
+        self._workers.remove(worker)
+        worker.conn.close()
+        if join:
+            worker.proc.join(timeout=5.0)
+
     def _dispatch_pending(self) -> None:
         for record in self.state.by_state(TaskState.PENDING):
             if record.description is None:
                 continue  # cannot rebuild; journal damage, leave visible
-            task_id = record.task_id
-            cached = self.cache.get(task_id)
-            if cached is not None:
-                # Completed by a previous incarnation (or a prior
-                # sweep) — the result_commit crash window closes here.
-                self.journal.append(
-                    "task_completed",
-                    task_id=task_id,
-                    source="cache",
-                    result_sha256=result_checksum(cached),
-                )
-                record.state = TaskState.COMPLETED
-                record.completed_from = "cache"
-                self.trace.record(
-                    "cache_hit",
-                    task_index=self._task_index(task_id),
-                    kind=record.kind,
-                    span_id=self._sweep_span,
-                )
+            if self._complete_from_cache(record):
                 continue
             # Capacity check after the cache fast-path: a full (or
             # zero-local-worker) service still completes cached points
@@ -635,6 +718,8 @@ class Orchestrator:
             # mode where only HTTP worker hosts execute.
             if len(self._inflight) >= self.config.max_workers:
                 continue
+            task_id = record.task_id
+            worker = self._idle_worker()
             attempt = record.attempts
             span_id = self.spans.start(
                 "point",
@@ -654,26 +739,15 @@ class Orchestrator:
             maybe_kill("lease_grant")
             task = self._build_task(task_id, record.description)
             hb = heartbeat_path(self.paths.leases, task_id)
-            try:
-                hb.unlink()
-            except OSError:
-                pass
             out = outcome_path(self.paths.outcomes, task_id)
+            self._remove_lease_files(task_id)
+            worker.task_id = task_id
             try:
-                out.unlink()
+                worker.conn.send(
+                    (task, str(hb), str(out), self.config.heartbeat_interval_s)
+                )
             except OSError:
-                pass
-            proc = multiprocessing.Process(
-                target=worker_main,
-                args=(
-                    task,
-                    str(hb),
-                    str(out),
-                    self.config.heartbeat_interval_s,
-                ),
-                name=f"service-worker-{task_id[:12]}",
-            )
-            proc.start()
+                pass  # died since the liveness check; its sentinel says so
             self._inflight[task_id] = _Inflight(
                 task_id=task_id,
                 task=task,
@@ -681,7 +755,7 @@ class Orchestrator:
                 granted_monotonic=time.monotonic(),
                 span_id=span_id,
                 task_index=self._task_index(task_id),
-                proc=proc,
+                worker=worker,
             )
             self.trace.record(
                 "started",
@@ -692,29 +766,73 @@ class Orchestrator:
                 parent_id=self._sweep_span,
             )
 
+    def _wake(self) -> None:
+        """Cut the scheduling loop's current wait short."""
+        if self._wake_w is None:
+            return  # not serving yet: the first pass sees everything
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # a wakeup is already pending, or the loop has ended
+
+    def _wait(self, timeout: float) -> None:
+        """Block until a worker reports or dies, a wakeup arrives, or
+        ``timeout`` passes."""
+        ready_on: List[Any] = [self._wake_r]
+        for worker in self._workers:
+            ready_on.append(worker.proc.sentinel)
+            if worker.task_id is not None:
+                ready_on.append(worker.conn)
+        _wait_ready(ready_on, timeout)
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except OSError:
+            pass  # drained
+
     # -- collection / watchdog ---------------------------------------------
 
     def _collect_finished(self) -> None:
-        for task_id in list(self._inflight):
-            entry = self._inflight[task_id]
+        for worker in list(self._workers):
+            done = False
+            if worker.task_id is not None:
+                try:
+                    if worker.conn.poll():
+                        worker.conn.recv_bytes()
+                        done = True
+                except (EOFError, OSError):
+                    pass  # died mid-lease; the liveness check follows
+            if not done and worker.proc.is_alive():
+                continue
+            task_id, worker.task_id = worker.task_id, None
+            if not done:
+                self._retire(worker)
+            entry = self._inflight.get(task_id) if task_id else None
+            if entry is None:
+                continue
             outcome = read_outcome(
                 outcome_path(self.paths.outcomes, task_id)
             )
             if outcome is not None:
                 self._settle(entry, outcome)
-                continue
-            if entry.proc is not None and not entry.proc.is_alive():
-                # Spawned worker exited without publishing an outcome:
-                # crashed, OOM-killed, or kill -9'd.
+            else:
+                # Crashed, OOM-killed, or kill -9'd mid-lease.
                 self._fail(
                     entry,
                     error=(
                         "worker exited without outcome "
-                        f"(exitcode={entry.proc.exitcode})"
+                        f"(exitcode={worker.proc.exitcode})"
                     ),
                     error_type="WorkerDied",
-                    worker_pid=entry.proc.pid,
+                    worker_pid=worker.proc.pid,
                 )
+        for entry in list(self._inflight.values()):
+            if entry.worker is None:  # adopted: only its outcome file
+                outcome = read_outcome(
+                    outcome_path(self.paths.outcomes, entry.task_id)
+                )
+                if outcome is not None:
+                    self._settle(entry, outcome)
 
     def _watchdog(self) -> None:
         cfg = self.config
@@ -752,8 +870,9 @@ class Orchestrator:
                 self.spans.end(lease.span_id, status="aborted")
         for task_id in list(self._inflight):
             entry = self._inflight[task_id]
-            if entry.proc is not None and entry.proc.is_alive() is False:
-                continue  # _collect_finished handles exited procs
+            worker = entry.worker
+            if worker is not None and not worker.proc.is_alive():
+                continue  # _collect_finished handles dead workers
             hb = heartbeat_path(self.paths.leases, task_id)
             verdict = classify_lease(
                 hb,
@@ -768,18 +887,19 @@ class Orchestrator:
             if read_outcome(outcome_path(self.paths.outcomes, task_id)):
                 continue
             pid = (
-                entry.proc.pid
-                if entry.proc is not None
+                worker.proc.pid
+                if worker is not None
                 else read_heartbeat_pid(hb)
             )
-            if verdict in ("stale", "overrun") and pid_alive(pid):
+            # Our own worker is never reused once its lease is lost.
+            if (
+                verdict in ("stale", "overrun") or worker is not None
+            ) and pid_alive(pid):
                 try:
                     os.kill(pid, _signal.SIGKILL)
                 except OSError:
                     pass
-                if entry.proc is not None:
-                    entry.proc.join(timeout=5.0)
-            if entry.proc is None:
+            if worker is None:
                 # Adopted orphan went dead/stale: reclaim without
                 # consuming an attempt — we never saw it fail, we only
                 # lost contact.
@@ -796,21 +916,20 @@ class Orchestrator:
                 del self._inflight[task_id]
                 if entry.span_id:
                     self.spans.end(entry.span_id, status="aborted")
-            else:
-                self._fail(
-                    entry,
-                    error=f"watchdog reclaim: {verdict} lease",
-                    error_type="Watchdog",
-                    worker_pid=pid,
-                )
+                continue
+            self._retire(worker)
+            self._fail(
+                entry,
+                error=f"watchdog reclaim: {verdict} lease",
+                error_type="Watchdog",
+                worker_pid=pid,
+            )
 
     def _settle(
         self, entry: _Inflight, outcome: Dict[str, Any]
     ) -> None:
         task_id = entry.task_id
         record = self.state.tasks[task_id]
-        if entry.proc is not None:
-            entry.proc.join(timeout=5.0)
         if outcome.get("ok"):
             envelope = outcome.get("envelope") or {}
             result = envelope.get("result")
@@ -858,7 +977,7 @@ class Orchestrator:
             error_type=str(outcome.get("error_type", "Unknown")),
             traceback_text=outcome.get("traceback"),
             worker_pid=(
-                entry.proc.pid if entry.proc is not None else None
+                entry.worker.proc.pid if entry.worker is not None else None
             ),
         )
 
@@ -979,27 +1098,13 @@ class Orchestrator:
         with self.lock:
             if self.draining or self.closed:
                 return None
+            self._wake()
             for record in self.state.by_state(TaskState.PENDING):
                 if record.description is None:
                     continue
-                task_id = record.task_id
-                cached = self.cache.get(task_id)
-                if cached is not None:
-                    self.journal.append(
-                        "task_completed",
-                        task_id=task_id,
-                        source="cache",
-                        result_sha256=result_checksum(cached),
-                    )
-                    record.state = TaskState.COMPLETED
-                    record.completed_from = "cache"
-                    self.trace.record(
-                        "cache_hit",
-                        task_index=self._task_index(task_id),
-                        kind=record.kind,
-                        span_id=self._sweep_span,
-                    )
+                if self._complete_from_cache(record):
                     continue
+                task_id = record.task_id
                 attempt = record.attempts
                 span_id = self.spans.start(
                     "point",
@@ -1090,6 +1195,7 @@ class Orchestrator:
                 return "unknown"
             if record.state == TaskState.COMPLETED:
                 return "duplicate"
+            self._wake()
             self.cache.put(task_id, result, record.description or {})
             maybe_kill("result_commit")
             self.journal.append(
@@ -1142,6 +1248,7 @@ class Orchestrator:
             lease = self._remote.get(task_id)
             if lease is None or lease.worker_id != worker_id:
                 return "ignored"
+            self._wake()
             del self._remote[task_id]
             self._record_failure(
                 task_id,
@@ -1174,12 +1281,15 @@ class Orchestrator:
                 remote=len(self._remote),
             )
         deadline = time.monotonic() + self.config.drain_timeout_s
-        while time.monotonic() < deadline:
+        while True:
             with self.lock:
                 self._collect_finished()
                 if not self._inflight and not self._remote:
                     break
-            time.sleep(self.config.poll_interval_s)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            self._wait(min(self.config.poll_interval_s, remaining))
         with self.lock:
             self._release_inflight(terminate=True)
             self._release_remote()
@@ -1203,13 +1313,13 @@ class Orchestrator:
     def _release_inflight(self, terminate: bool) -> None:
         for task_id in list(self._inflight):
             entry = self._inflight.pop(task_id)
-            if entry.proc is not None and entry.proc.is_alive():
-                if terminate:
-                    entry.proc.terminate()
-                    entry.proc.join(timeout=2.0)
-                    if entry.proc.is_alive():
-                        entry.proc.kill()
-                        entry.proc.join(timeout=2.0)
+            worker = entry.worker
+            if terminate and worker is not None and worker.proc.is_alive():
+                worker.proc.terminate()
+                worker.proc.join(timeout=2.0)
+                if worker.proc.is_alive():
+                    worker.proc.kill()
+                    worker.proc.join(timeout=2.0)
             self.journal.append(
                 "lease_released",
                 task_id=task_id,

@@ -111,6 +111,11 @@ def handle_signals(
             except (OSError, ValueError):
                 continue
         yield flag
+        if mode == "raise" and flag.is_set():
+            # The handler's raise was lost: Python ignores exceptions
+            # raised where it cannot propagate them (an at-fork hook
+            # such as logging's, a ``__del__``).  Surface it here.
+            raise ShutdownRequested(flag.signum)
     finally:
         for signum, handler in previous.items():
             try:

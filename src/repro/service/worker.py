@@ -1,22 +1,28 @@
-"""Service worker processes: crash-isolated task execution.
+"""Service worker processes: persistent, with per-lease crash isolation.
 
-The orchestrator runs every leased task in its own
-``multiprocessing.Process`` whose target is :func:`worker_main`.  One
-process per task buys crash isolation (a segfaulting or OOM-killed
-point takes down one lease, not the pool) and makes the watchdog's job
-honest: killing a stuck worker is ``SIGKILL`` on one pid with no shared
-state to corrupt.
+The orchestrator keeps at most ``max_workers`` long-lived worker
+processes, forked on first dispatch.  Each runs :func:`worker_loop`:
+receive one leased task over its own pipe, run :func:`worker_main` for
+it, answer one "done" byte, wait for the next.  A worker pays its
+imports (scipy for the model curves) once, not once per task.
 
-A worker's entire observable output is one file: the *outcome
-envelope* at ``outcomes/<task_id>.json``, written atomically
-(temp + fsync + rename) as the very last act before exit::
+Crash isolation stays per lease: a worker holds at most one lease, so a
+segfaulting or OOM-killed point fails that lease alone, and the
+watchdog's ``SIGKILL`` on the lease holder's pid touches no other task.
+The orchestrator replaces a dead worker on its next dispatch.  A worker
+exits on EOF from its pipe — the orchestrator closed it, or died — so
+an orphan lives at most until it publishes its current outcome.
+
+The pipe only wakes the scheduler.  A lease's entire observable output
+is one file: the *outcome envelope* at ``outcomes/<task_id>.json``,
+written atomically (temp + fsync + rename) before the "done" byte::
 
     {"ok": true,  "envelope": {... run_task envelope ...}}
     {"ok": false, "error": "...", "error_type": "KeyError",
      "traceback": "..."}
 
 Atomic write means the orchestrator (or its restarted successor —
-workers can outlive the orchestrator that spawned them) either sees a
+workers can outlive the orchestrator that forked them) either sees a
 complete, parseable outcome or no outcome at all; there is no torn
 state to reason about.  Execution itself is
 :func:`repro.runner.tasks.run_task` — the same entry the pool runner
@@ -29,7 +35,7 @@ from __future__ import annotations
 import json
 import traceback
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterable, Optional, Union
 
 from ..checkpoint.integrity import atomic_write_text
 from ..runner.seeding import SeedSpec
@@ -41,6 +47,7 @@ __all__ = [
     "outcome_path",
     "read_outcome",
     "task_from_description",
+    "worker_loop",
     "worker_main",
     "write_outcome",
 ]
@@ -104,7 +111,7 @@ def worker_main(
     out_path: str,
     heartbeat_interval_s: float = 1.0,
 ) -> None:
-    """Process target: heartbeat, execute, publish outcome, exit.
+    """Run one lease: heartbeat, execute, publish the outcome.
 
     Never raises — every failure mode (including task kinds that throw
     on malformed payloads) becomes an ``ok: false`` outcome the
@@ -131,3 +138,27 @@ def worker_main(
         write_outcome(out_path, outcome)
     finally:
         beat.stop()
+
+
+def worker_loop(conn: Any, inherited: Iterable[Any] = ()) -> None:
+    """Persistent worker process target: run leases until EOF.
+
+    Each message on ``conn`` is one ``(task, hb_path, out_path,
+    heartbeat_interval_s)`` lease for :func:`worker_main`; one byte
+    back says its outcome is published and the worker is free.
+    ``inherited`` are the orchestrator's ends of every worker pipe,
+    copied by the fork; closing them here lets EOF reach each worker
+    as soon as the orchestrator's own end goes.
+    """
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            lease = conn.recv()
+        except (EOFError, OSError):
+            return
+        worker_main(*lease)
+        try:
+            conn.send_bytes(b"\x01")
+        except OSError:
+            return

@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=_worker_count, default=2,
-        help="concurrent worker processes (default: 2)",
+        help="persistent local worker processes (default: 2)",
     )
     serve.add_argument(
         "--max-retries", type=_retry_count, default=2,

@@ -42,6 +42,18 @@ class TestRaiseMode:
                     cleaned.append(True)
         assert cleaned == [True]
 
+    def test_lost_raise_resurfaces_when_the_body_ends(self):
+        # A raise landing where Python ignores exceptions (an at-fork
+        # hook) must not let the command finish as if never signalled.
+        with pytest.raises(ShutdownRequested) as excinfo:
+            with handle_signals(mode="raise"):
+                try:
+                    os.kill(os.getpid(), signal.SIGTERM)
+                    time.sleep(5)
+                except ShutdownRequested:
+                    pass
+        assert excinfo.value.signum == signal.SIGTERM
+
     def test_previous_handlers_restored(self):
         before = signal.getsignal(signal.SIGTERM)
         with handle_signals(mode="raise"):
