@@ -79,6 +79,33 @@ def _residual(
     return tau - tau_of_gamma(gamma_from_tau(tau, num_stations))
 
 
+def _brentq_known_ends(
+    tau_of_gamma: Callable[[float], float],
+    num_stations: int,
+    lo: float,
+    hi: float,
+    f_lo: float,
+    f_hi: float,
+    **kwargs,
+) -> float:
+    """Brent's method on the residual over ``[lo, hi]``.
+
+    ``brentq`` evaluates both bracket ends before it iterates; the
+    caller already holds those residuals, so they are handed back for
+    exactly those τ instead of solving the model twice more.  Every
+    iterate, and so the root, is the same as a plain ``brentq``.
+    """
+
+    def residual(tau: float) -> float:
+        if tau == lo:
+            return f_lo
+        if tau == hi:
+            return f_hi
+        return _residual(tau, tau_of_gamma, num_stations)
+
+    return float(brentq(residual, lo, hi, **kwargs))
+
+
 def solve_fixed_point(
     tau_of_gamma: Callable[[float], float],
     num_stations: int,
@@ -119,8 +146,8 @@ def solve_fixed_point(
         return damped_iteration(
             tau_of_gamma, num_stations, max_iter=max_iter, strict=strict
         )
-    return float(
-        brentq(_residual, lo, hi, args=(tau_of_gamma, num_stations), xtol=xtol)
+    return _brentq_known_ends(
+        tau_of_gamma, num_stations, lo, hi, f_lo, f_hi, xtol=xtol
     )
 
 
@@ -154,13 +181,8 @@ def find_all_fixed_points(
             roots.append(float(taus[i]))
         elif r0 * r1 < 0:
             roots.append(
-                float(
-                    brentq(
-                        _residual,
-                        taus[i],
-                        taus[i + 1],
-                        args=(tau_of_gamma, num_stations),
-                    )
+                _brentq_known_ends(
+                    tau_of_gamma, num_stations, taus[i], taus[i + 1], r0, r1
                 )
             )
     # Deduplicate near-identical roots.

@@ -16,6 +16,13 @@ The chain encodes the same transition rules as
 of a stage, BC decrement on every event, immediate attempt on a drawn
 BC of 0), so together with the fixed point γ = 1 − (1 − τ)^(N−1) it is
 the numerically exact version of the analysis in [5].
+
+The chain's structure does not depend on γ, so it is built once per
+:class:`StationChain`: every transition's source, target, probability
+factor and whether it is weighted by γ or 1 − γ.  Each γ then costs a
+vectorised scatter of those values into the dense system and one dense
+LU solve; the scatter keeps the assembly order, so the matrix and the
+stationary distribution are bit-identical to assembling state by state.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ class StationChain:
                 for j in range(config.dc[s] + 1):
                     self._add_state(("B", s, b, j))
         self.num_states = len(self._states)
+        self._build_transitions()
 
     def _add_state(self, state: Tuple) -> None:
         self._index[state] = len(self._states)
@@ -87,28 +95,40 @@ class StationChain:
         )
         return targets
 
-    def transition_matrix(self, gamma: float) -> np.ndarray:
-        """Dense row-stochastic transition matrix at busy probability γ."""
-        if not 0.0 <= gamma < 1.0 + 1e-15:
-            raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-        gamma = min(max(gamma, 0.0), 1.0)
-        m = self.config.num_stages
-        n = self.num_states
-        matrix = np.zeros((n, n))
+    def _build_transitions(self) -> None:
+        """Record every transition once, independent of γ.
 
-        def add(src: Tuple, dst_list: List[Tuple[Tuple, float]], p: float) -> None:
-            i = self._index[src]
-            for dst, q in dst_list:
-                matrix[i, self._index[dst]] += p * q
+        Transition ``k`` has probability ``p · _prob[k]``, where ``p``
+        is γ when ``_busy[k]`` and 1 − γ otherwise; ``_flat[k]`` and
+        ``_flat_t[k]`` are its flat positions in P and in Pᵀ.  The
+        order is the state-by-state assembly order, so scattering the
+        values in sequence sums every entry that several transitions
+        add to in the same order, bit for bit.
+        """
+        m = self.config.num_stages
+        src: List[int] = []
+        dst: List[int] = []
+        busy: List[bool] = []
+        prob: List[float] = []
+
+        def add(
+            state: Tuple, dst_list: List[Tuple[Tuple, float]], on_busy: bool
+        ) -> None:
+            i = self._index[state]
+            for target, q in dst_list:
+                src.append(i)
+                dst.append(self._index[target])
+                busy.append(on_busy)
+                prob.append(q)
 
         for state in self._states:
             if state[0] == "A":
                 s = state[1]
                 nxt = min(s + 1, m - 1)
                 # Success: fresh frame at stage 0.
-                add(state, self._redraw_targets(0), 1.0 - gamma)
+                add(state, self._redraw_targets(0), False)
                 # Collision: redraw at the next stage.
-                add(state, self._redraw_targets(nxt), gamma)
+                add(state, self._redraw_targets(nxt), True)
             else:
                 _, s, b, j = state
                 nxt = min(s + 1, m - 1)
@@ -117,25 +137,48 @@ class StationChain:
                     if b == 1
                     else [(("B", s, b - 1, j), 1.0)]
                 )
-                add(state, idle_dst, 1.0 - gamma)
+                add(state, idle_dst, False)
                 if j == 0:
                     # Deferral expiry: jump without attempting.
-                    add(state, self._redraw_targets(nxt), gamma)
+                    add(state, self._redraw_targets(nxt), True)
                 else:
                     busy_dst = (
                         [(("A", s), 1.0)]
                         if b == 1
                         else [(("B", s, b - 1, j - 1), 1.0)]
                     )
-                    add(state, busy_dst, gamma)
-        return matrix
+                    add(state, busy_dst, True)
+        n = self.num_states
+        src_idx = np.array(src, dtype=np.intp)
+        dst_idx = np.array(dst, dtype=np.intp)
+        self._busy = np.array(busy, dtype=bool)
+        self._prob = np.array(prob, dtype=float)
+        self._flat = src_idx * n + dst_idx
+        self._flat_t = dst_idx * n + src_idx
+
+    def _values(self, gamma: float) -> np.ndarray:
+        """Probability of every recorded transition at busy probability γ."""
+        if not 0.0 <= gamma < 1.0 + 1e-15:
+            raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+        gamma = min(max(gamma, 0.0), 1.0)
+        return np.where(self._busy, gamma, 1.0 - gamma) * self._prob
+
+    def transition_matrix(self, gamma: float) -> np.ndarray:
+        """Dense row-stochastic transition matrix at busy probability γ."""
+        n = self.num_states
+        flat = np.zeros(n * n)
+        np.add.at(flat, self._flat, self._values(gamma))
+        return flat.reshape(n, n)
 
     def stationary_distribution(self, gamma: float) -> np.ndarray:
         """Solve πP = π, Σπ = 1 by a dense linear system."""
-        matrix = self.transition_matrix(gamma)
         n = self.num_states
-        # (P^T - I) π = 0 with the normalization replacing one equation.
-        a = matrix.T - np.eye(n)
+        # (P^T - I) π = 0 with the normalization replacing one equation;
+        # P^T is scattered directly, in assembly order.
+        flat = np.zeros(n * n)
+        np.add.at(flat, self._flat_t, self._values(gamma))
+        flat[:: n + 1] -= 1.0
+        a = flat.reshape(n, n)
         a[-1, :] = 1.0
         rhs = np.zeros(n)
         rhs[-1] = 1.0

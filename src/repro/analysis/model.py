@@ -40,6 +40,12 @@ class Model1901:
         chain enormous, so ``"markov"`` silently falls back to the
         equivalent recursion above ``MARKOV_STATE_LIMIT`` states.
 
+        Cost: a solve evaluates τ(γ) about a dozen times.  For the
+        default schedule (1173 chain states) each ``"markov"``
+        evaluation is one dense LU solve, about 40 ms on a 2-vCPU Xeon,
+        so ``solve(50)`` takes about 0.5 s there; ``"recursive"``
+        solves the same point in about 15 ms.
+
     Examples
     --------
     >>> model = Model1901()

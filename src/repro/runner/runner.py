@@ -41,8 +41,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import multiprocessing
 import os
 import sys
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -316,6 +318,58 @@ class _RunState:
     total: int = 0
     executed: int = 0
     failures: List[TaskFailure] = dataclasses.field(default_factory=list)
+
+
+#: How often a pool worker checks that the process that started it is
+#: still there.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the parent process is gone.
+
+    A signal landing in the parent right after the fork, before the
+    worker is recorded anywhere, leaves a worker nothing will ever
+    terminate.  It waits on the call queue forever and keeps the
+    parent's stdout and stderr open, so a caller reading those pipes
+    never sees them close.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="exit-with-parent", daemon=True
+    ).start()
+
+
+class _Pool(ProcessPoolExecutor):
+    """A process pool whose kill path reaches every worker it started.
+
+    ``_processes`` lists a worker only once its pid is stored.  A signal
+    landing in the pool's spawn after ``start()`` but before that store
+    leaves a live worker no registry lists, and interpreter exit would
+    join it forever.  The children alive when the pool is created are
+    remembered, so any child started since then counts as the pool's.
+    A worker started but not even known to ``multiprocessing`` exits
+    with its parent (:func:`_exit_with_parent`).
+    """
+
+    def __init__(self, max_workers: int) -> None:
+        self._children_before = frozenset(multiprocessing.active_children())
+        super().__init__(
+            max_workers=max_workers, initializer=_exit_with_parent
+        )
+
+    def started_processes(self) -> List[Any]:
+        processes = list((self._processes or {}).values())
+        for child in multiprocessing.active_children():
+            if child not in self._children_before and child not in processes:
+                processes.append(child)
+        return processes
 
 
 class ExperimentRunner:
@@ -635,9 +689,7 @@ class ExperimentRunner:
         limit = workers if timeout is not None else workers * 2
         queue: List[_Pending] = list(pending)
         inflight: Dict[Future, Tuple[_Pending, float]] = {}
-        pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=workers
-        )
+        pool: Optional[_Pool] = _Pool(max_workers=workers)
         rebuilds = 0
         try:
             while queue or inflight:
@@ -770,7 +822,7 @@ class ExperimentRunner:
 
     def _recover_pool(
         self,
-        pool: Optional[ProcessPoolExecutor],
+        pool: Optional[_Pool],
         inflight: Dict[Future, Tuple[_Pending, float]],
         queue: List[_Pending],
         results: List[Optional[Dict[str, Any]]],
@@ -778,7 +830,7 @@ class ExperimentRunner:
         workers: int,
         rebuilds: int,
         kill: bool,
-    ) -> Tuple[Optional[ProcessPoolExecutor], int]:
+    ) -> Tuple[Optional[_Pool], int]:
         """Drain a broken/killed pool and rebuild it — or degrade.
 
         Every task still in flight is resolved: completed futures keep
@@ -819,7 +871,7 @@ class ExperimentRunner:
         rebuilds += 1
         self.counters.pool_rebuilds += 1
         self.trace.record("pool_rebuild", detail=f"rebuild #{rebuilds}")
-        return ProcessPoolExecutor(max_workers=workers), rebuilds
+        return _Pool(max_workers=workers), rebuilds
 
     def _degrade_serial(
         self,
@@ -948,15 +1000,14 @@ class ExperimentRunner:
 
     @staticmethod
     def _shutdown_pool(
-        pool: Optional[ProcessPoolExecutor], kill: bool
+        pool: Optional[_Pool], kill: bool
     ) -> None:
         if pool is None:
             return
         if kill:
             # A hung or crashed worker never drains the call queue;
             # terminate the processes outright before shutdown.
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
+            for process in pool.started_processes():
                 try:
                     process.terminate()
                 except Exception:

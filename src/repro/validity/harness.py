@@ -223,7 +223,8 @@ def build_validity_map(
     (``cache_dir`` / ``chunk_size`` as shorthands).  All cells run in
     one ``run_points`` call, so the kernel processes the whole map in
     lockstep and the cache makes interrupted or repeated sweeps
-    incremental.
+    incremental.  The model is solved once per distinct ``N`` and that
+    prediction is shared by every regime's row.
     """
     from ..analysis.model import Model1901
     from ..runner.batch import BatchRunner
@@ -263,9 +264,13 @@ def build_validity_map(
             )
     points = runner.run_points(pairs)
 
+    # The model does not depend on the regime: one solve per distinct N.
+    predictions = {
+        n: model.solve(n) for n in dict.fromkeys(n for _, n in cells)
+    }
     rows: List[ValidityRow] = []
     for k, (regime, n) in enumerate(cells):
-        prediction = model.solve(n)
+        prediction = predictions[n]
         agg = aggregate(
             [
                 p.result

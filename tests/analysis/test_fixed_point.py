@@ -1,14 +1,62 @@
 """Tests for the fixed-point machinery."""
 
+import math
+
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from repro.analysis.fixed_point import (
+    _EPS,
     ConvergenceError,
+    _residual,
     damped_iteration,
     find_all_fixed_points,
     gamma_from_tau,
     solve_fixed_point,
 )
+
+
+def _counted(tau_of_gamma):
+    """Wrap ``tau_of_gamma``; the wrapper's ``calls`` lists every γ."""
+
+    def wrapper(gamma):
+        wrapper.calls.append(gamma)
+        return tau_of_gamma(gamma)
+
+    wrapper.calls = []
+    return wrapper
+
+
+def _reference_roots(tau_of_gamma, num_stations, grid_points):
+    """The scan with a plain ``brentq`` per sign change, which
+    evaluates both bracket ends again.  Returns the roots and the
+    number of ``brentq`` calls."""
+    taus = np.linspace(_EPS, 1.0 - _EPS, grid_points)
+    residuals = [_residual(t, tau_of_gamma, num_stations) for t in taus]
+    roots = []
+    brackets = 0
+    for i in range(len(taus) - 1):
+        r0, r1 = residuals[i], residuals[i + 1]
+        if r0 == 0.0:
+            roots.append(float(taus[i]))
+        elif r0 * r1 < 0:
+            brackets += 1
+            roots.append(
+                float(
+                    brentq(
+                        _residual,
+                        taus[i],
+                        taus[i + 1],
+                        args=(tau_of_gamma, num_stations),
+                    )
+                )
+            )
+    unique = []
+    for root in roots:
+        if not unique or abs(root - unique[-1]) > 1e-9:
+            unique.append(root)
+    return unique, brackets
 
 
 class TestGammaFromTau:
@@ -98,6 +146,64 @@ class TestFindAllFixedPoints:
                     model.tau, n, grid_points=300
                 )
                 assert len(roots) == 1, (config, n, roots)
+
+
+class TestEndpointReuse:
+    """The solvers hand ``brentq`` the bracket residuals they already
+    hold: fewer model solves, bit-identical roots."""
+
+    def test_solve_fixed_point_solves_each_tau_once(self):
+        from repro.analysis.model import Model1901
+
+        model = Model1901()
+        counted = _counted(model.tau_of_gamma)
+        tau = solve_fixed_point(counted, 50)
+        assert len(counted.calls) == 11
+        assert len(set(counted.calls)) == len(counted.calls)
+        plain = brentq(
+            _residual,
+            _EPS,
+            1.0 - _EPS,
+            args=(model.tau_of_gamma, 50),
+            xtol=1e-12,
+        )
+        assert tau == plain
+
+    @pytest.mark.parametrize(
+        "tau_of_gamma, num_stations, grid_points",
+        [
+            (lambda g: 0.5 * (1 - g), 2, 2000),
+            (lambda g: 0.4 * (1 - g) ** 3, 3, 2000),
+            (
+                lambda g: min(
+                    max(g + 0.1 * math.sin(3 * math.pi * g), 0.0), 1.0
+                ),
+                2,
+                2000,
+            ),
+            ("recursive", 5, 200),
+            ("recursive", 50, 200),
+        ],
+    )
+    def test_find_all_fixed_points_roots_unchanged(
+        self, tau_of_gamma, num_stations, grid_points
+    ):
+        if tau_of_gamma == "recursive":
+            from repro.analysis.model import Model1901
+
+            tau_of_gamma = Model1901(method="recursive").tau_of_gamma
+        counted = _counted(tau_of_gamma)
+        roots = find_all_fixed_points(
+            counted, num_stations, grid_points=grid_points
+        )
+        reference = _counted(tau_of_gamma)
+        expected, brackets = _reference_roots(
+            reference, num_stations, grid_points
+        )
+        assert roots
+        assert roots == expected
+        # Each bracket's two ends come from the grid, not a new solve.
+        assert len(counted.calls) == len(reference.calls) - 2 * brackets
 
 
 class TestConvergenceError:

@@ -4,8 +4,92 @@ import numpy as np
 import pytest
 
 from repro.analysis.markov import StationChain
+from repro.analysis.model import Model1901
 from repro.core.config import CsmaConfig
+from repro.core.parameters import PriorityClass
 from repro.core.station import SlotOutcome, Station
+
+
+def _reference_transition_matrix(chain, gamma):
+    """The per-state assembly loop the chain replaced: one ``+=`` per
+    transition, in state order — the oracle for bit identity."""
+    if not 0.0 <= gamma < 1.0 + 1e-15:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    gamma = min(max(gamma, 0.0), 1.0)
+    config = chain.config
+    m = config.num_stages
+    index = {state: i for i, state in enumerate(chain._states)}
+    matrix = np.zeros((len(index), len(index)))
+
+    def redraw(stage):
+        w = config.cw[stage]
+        d = config.dc[stage]
+        return [(("A", stage), 1.0 / w)] + [
+            (("B", stage, b, d), 1.0 / w) for b in range(1, w)
+        ]
+
+    def add(src, dst_list, p):
+        for dst, q in dst_list:
+            matrix[index[src], index[dst]] += p * q
+
+    for state in chain._states:
+        if state[0] == "A":
+            s = state[1]
+            add(state, redraw(0), 1.0 - gamma)
+            add(state, redraw(min(s + 1, m - 1)), gamma)
+        else:
+            _, s, b, j = state
+            add(
+                state,
+                [(("A", s) if b == 1 else ("B", s, b - 1, j), 1.0)],
+                1.0 - gamma,
+            )
+            if j == 0:
+                add(state, redraw(min(s + 1, m - 1)), gamma)
+            else:
+                add(
+                    state,
+                    [(("A", s) if b == 1 else ("B", s, b - 1, j - 1), 1.0)],
+                    gamma,
+                )
+    return matrix
+
+
+def _reference_stationary_distribution(chain, gamma):
+    """``np.linalg.solve`` on the dense ``P^T - I`` system whose last
+    equation is replaced by the normalisation row."""
+    matrix = _reference_transition_matrix(chain, gamma)
+    n = matrix.shape[0]
+    a = matrix.T - np.eye(n)
+    a[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    pi = np.clip(np.linalg.solve(a, rhs), 0.0, None)
+    return pi / pi.sum()
+
+
+def _oracle_configs():
+    presets = [CsmaConfig.default_1901()]
+    presets += [CsmaConfig.for_priority(p) for p in PriorityClass]
+    presets += [
+        CsmaConfig.ieee80211(),
+        CsmaConfig.ieee80211(cw_min=8, max_stage=2),
+    ]
+    presets = [
+        c
+        for c in dict.fromkeys(presets)
+        if sum(1 + (w - 1) * (d + 1) for w, d in zip(c.cw, c.dc))
+        <= Model1901.MARKOV_STATE_LIMIT
+    ]
+    return presets + [
+        CsmaConfig(cw=(4,), dc=(0,)),
+        CsmaConfig(cw=(8, 16, 32, 64), dc=(0, 0, 0, 0)),
+        CsmaConfig(cw=(1, 4, 8), dc=(0, 1, 2)),
+    ]
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
 
 
 class TestChainStructure:
@@ -35,6 +119,27 @@ class TestChainStructure:
         pi = chain.stationary_distribution(0.2)
         assert pi.sum() == pytest.approx(1.0)
         assert (pi >= 0).all()
+
+
+class TestBitIdentity:
+    """The chain's sparse scatter reproduces the dense per-state
+    assembly bit for bit, so every model output is unchanged."""
+
+    GAMMAS = (0.0, 1e-12, 0.3, 0.77, 1.0)
+
+    @pytest.mark.parametrize(
+        "config", _oracle_configs(), ids=lambda c: c.describe()
+    )
+    def test_transition_matrix_and_stationary_distribution(self, config):
+        chain = StationChain(config)
+        for gamma in self.GAMMAS:
+            expected = _reference_transition_matrix(chain, gamma)
+            got = chain.transition_matrix(gamma)
+            assert got.shape == expected.shape
+            assert np.array_equal(_bits(got), _bits(expected)), gamma
+            expected_pi = _reference_stationary_distribution(chain, gamma)
+            got_pi = chain.stationary_distribution(gamma)
+            assert np.array_equal(_bits(got_pi), _bits(expected_pi)), gamma
 
 
 class TestTauValues:

@@ -16,9 +16,17 @@ its exact ``SeedSpec``, so recovery must never change the numbers:
 """
 
 import json
+import multiprocessing
+import multiprocessing.process
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.config import CsmaConfig, ScenarioConfig
 from repro.experiments.sweeps import sweep_configuration
 from repro.runner import (
@@ -32,6 +40,7 @@ from repro.runner import (
     scenario_to_jsonable,
 )
 from repro.runner.faults import FaultPlan, parse_plan, plan_from_env
+from repro.service.signals import ShutdownRequested
 
 COUNTS = (2, 3, 5)
 SIM_TIME_US = 2e5
@@ -136,6 +145,102 @@ class TestBrokenPoolRecovery:
         assert runner.counters.degraded_serial == 1
         assert runner.counters.pool_rebuilds == 0
         assert runner.trace.of_kind("degrade_serial")
+
+
+class TestShutdownMidSpawn:
+    def test_worker_started_but_unregistered_is_terminated(
+        self, monkeypatch
+    ):
+        """A shutdown landing between a pool worker's ``start()`` and
+        the pool registering its pid must not leave that worker alive:
+        interpreter exit would join it forever."""
+        original_start = multiprocessing.process.BaseProcess.start
+        fired = []
+
+        def start_then_interrupt(process):
+            original_start(process)
+            if not fired:
+                fired.append(process)
+                raise ShutdownRequested(15)
+
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", start_then_interrupt
+        )
+        before = set(multiprocessing.active_children())
+        runner = ExperimentRunner(max_workers=2, retries=0)
+        try:
+            with pytest.raises(ShutdownRequested):
+                runner.run([_simulate_task(2), _simulate_task(3)])
+            assert fired
+            survivors = []
+            for child in multiprocessing.active_children():
+                if child in before:
+                    continue
+                child.join(timeout=10)
+                if child.is_alive():
+                    survivors.append(child)
+            assert survivors == []
+        finally:
+            for child in multiprocessing.active_children():
+                if child not in before:
+                    child.kill()
+                    child.join(timeout=10)
+
+    def test_worker_unknown_to_multiprocessing_exits_with_parent(self):
+        """A shutdown landing right after the fork, before ``start()``
+        records the child, leaves a worker no registry knows.  It must
+        exit with its parent rather than hold the parent's stdout and
+        stderr open forever."""
+        script = """
+import multiprocessing.popen_fork as popen_fork
+from repro.core.config import ScenarioConfig
+from repro.runner import (
+    ExperimentRunner, SeedSpec, Task, TaskKind, scenario_to_jsonable,
+)
+from repro.service.signals import ShutdownRequested
+
+launch = popen_fork.Popen._launch
+
+def launch_then_interrupt(self, process_obj):
+    launch(self, process_obj)  # the child never returns from here
+    popen_fork.Popen._launch = launch
+    print(self.pid, flush=True)
+    raise ShutdownRequested(15)
+
+popen_fork.Popen._launch = launch_then_interrupt
+scenario = ScenarioConfig.homogeneous(num_stations=2, sim_time_us=1e5)
+task = Task(
+    kind=TaskKind.SIMULATE,
+    payload={"scenario": scenario_to_jsonable(scenario)},
+    seed=SeedSpec(root_seed=1),
+)
+try:
+    ExperimentRunner(max_workers=2, retries=0).run([task, task])
+except ShutdownRequested:
+    print("interrupted", flush=True)
+"""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+        except subprocess.TimeoutExpired as exc:
+            # The output read so far (bytes) names the orphan's pid.
+            for word in (exc.stdout or b"").split():
+                if word.isdigit():
+                    try:
+                        os.kill(int(word), signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+            pytest.fail("an orphaned pool worker held the pipes open")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[1:] == ["interrupted"]
 
 
 class TestTimeout:

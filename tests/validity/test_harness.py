@@ -1,5 +1,6 @@
 """Tests for the validity-map harness: sweep, flags, pins, artifact."""
 
+import dataclasses
 import json
 import math
 
@@ -15,7 +16,12 @@ from repro.validity import (
     regimes_by_name,
     validity_figure,
 )
-from repro.validity.harness import MAP_SCHEMA, PINS_SCHEMA, _point_index
+from repro.validity.harness import (
+    MAP_SCHEMA,
+    PINS_SCHEMA,
+    ValidityMap,
+    _point_index,
+)
 
 SMALL = dict(counts=(2, 4), sim_time_us=3e5, repetitions=2)
 
@@ -139,6 +145,44 @@ class TestArtifact:
         assert runner.counters.executed == executed
         assert runner.counters.cache_hits == 16
         assert warm.rows == cold.rows
+
+    def test_one_model_solve_per_distinct_count(self, monkeypatch):
+        from repro.analysis.model import Model1901
+        from repro.core.config import CsmaConfig
+
+        solve = Model1901.solve
+        solved = []
+
+        def counted(model, num_stations):
+            # Regime scenarios size their loads with a "recursive"
+            # model; the map's own predictions come from "markov".
+            if model.method == "markov":
+                solved.append(num_stations)
+            return solve(model, num_stations)
+
+        monkeypatch.setattr(Model1901, "solve", counted)
+        # A small schedule keeps the per-cell reference solves cheap.
+        csma = CsmaConfig(cw=(4, 8), dc=(0, 1))
+        vmap = _small_map(counts=(5, 10), config=csma)
+        assert len(vmap.rows) == 4 * 2
+        assert sorted(solved) == [5, 10]
+
+        model = Model1901(csma)
+        per_cell = []
+        for row in vmap.rows:
+            prediction = model.solve(row.num_stations)
+            per_cell.append(
+                dataclasses.replace(
+                    row,
+                    model_collision_probability=(
+                        prediction.collision_probability
+                    ),
+                    model_throughput=prediction.normalized_throughput,
+                )
+            )
+        assert len(solved) == 2 + len(vmap.rows)
+        expected = ValidityMap(rows=per_cell, config=vmap.config)
+        assert vmap.as_dict() == expected.as_dict()
 
     def test_report_renders(self):
         vmap = _small_map(counts=(2, 3))
