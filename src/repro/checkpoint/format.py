@@ -23,9 +23,10 @@ lands on the newest checkpoint that survived the crash intact.
 
 Fault hook: if ``REPRO_CHECKPOINT_KILL`` is set to an integer N, the
 process is killed (``os._exit``) immediately after it durably writes
-checkpoint N.  The retried task then resumes from N and next writes
-N + 1, so the kill fires exactly once without any cross-process claim
-bookkeeping — the deterministic crash the kill-mid-run tests and the CI
+checkpoint N; any other non-empty value raises :class:`ValueError`.
+The retried task then resumes from N and next writes N + 1, so the
+kill fires exactly once without any cross-process claim bookkeeping —
+the deterministic crash the kill-mid-run tests and the CI
 ``checkpoint-smoke`` job rely on.
 """
 
@@ -240,12 +241,15 @@ class CheckpointStore:
             sim_time_us=checkpoint.sim_time_us,
         )
         kill_after = os.environ.get(KILL_ENV)
-        if kill_after is not None:
+        if kill_after:
             try:
                 kill_seq = int(kill_after)
             except ValueError:
-                kill_seq = None
-            if kill_seq is not None and kill_seq == checkpoint.seq:
+                raise ValueError(
+                    f"{KILL_ENV}={kill_after!r} is not a checkpoint "
+                    "sequence number"
+                ) from None
+            if kill_seq == checkpoint.seq:
                 os._exit(KILL_EXIT_CODE)
         return path
 

@@ -216,10 +216,7 @@ def _run_simulate_batch(
     as-jsonable).  Every point gets the same per-(point, station)
     streams a scalar ``simulate`` task would, so the returned
     ``points`` list holds dicts bit-identical to what ``simulate``
-    would produce for each.  Raises :class:`~repro.batch.kernel
-    .UnsupportedScenario` if any point falls outside the kernel's
-    support matrix — routing/fallback is the caller's job
-    (:class:`~repro.runner.batch.BatchRunner`).
+    would produce for each.
     """
     from ..batch.kernel import BatchSlotKernel
 

@@ -397,9 +397,9 @@ class ServiceHTTPServer:
                 return 404, {"error": f"unknown task {task_id}"}, {}
             payload = record.as_dict()
             payload["cached"] = orch.cache.get(task_id) is not None
-            lease = orch._remote.get(task_id)
-            if lease is not None:
-                payload["remote_worker"] = lease.worker_id
+            worker_id = orch.lease_holders().get(task_id)
+            if worker_id is not None:
+                payload["remote_worker"] = worker_id
         return 200, payload, {"ETag": etag}
 
     def _get_result(
@@ -424,7 +424,10 @@ class ServiceHTTPServer:
                 "draining": orch.draining,
                 "counts": orch.state.counts(),
                 "queue_depth": orch.state.queue_depth,
-                "remote_leases": len(orch._remote),
+                "remote_leases": sum(
+                    holder is not None
+                    for holder in orch.lease_holders().values()
+                ),
                 "run_id": orch.trace.run_id,
                 "journal_seq": orch.journal.seq,
             }
@@ -458,8 +461,7 @@ class ServiceHTTPServer:
             idle = (
                 not orch.state.by_state(TaskState.PENDING)
                 and not orch.state.by_state(TaskState.LEASED)
-                and not orch._inflight
-                and not orch._remote
+                and not orch.lease_holders()
             )
         return 200, {"task": None, "idle": idle}, {}
 

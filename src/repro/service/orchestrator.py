@@ -39,6 +39,17 @@ outcome file — a worker outlives the orchestrator that forked it
 until it publishes its current outcome, then exits on its pipe's EOF);
 anything else is reclaimed without consuming an attempt (a dead
 orchestrator is not evidence against the task).
+
+All leases live in one table, whoever holds them: one of our own
+workers, an adopted pid, or a remote host over HTTP.  The holder only
+decides how liveness is judged (heartbeat file and pid, or the time
+since the last heartbeat PUT) and how the task is shipped (the
+worker's pipe, or the claim response); grant, commit, failure and
+reclaim each have one code path.  A commit drops the task's lease
+whoever holds it.  So when a reclaimed remote host commits late while
+the task is leased again, the task is done: the current holder's
+later outcome is ignored, its worker is simply free again, and the
+task is never failed or leased after its ``task_completed``.
 """
 
 from __future__ import annotations
@@ -209,49 +220,38 @@ class ServiceConfig:
 
 
 @dataclasses.dataclass
-class _RemoteLease:
-    """One task leased to a remote worker host over HTTP.
-
-    Liveness is heartbeat recency only — a remote pid means nothing on
-    this host, so the watchdog's verdict for remote leases is purely
-    "how long since the last heartbeat PUT".  A silent host is
-    classified dead and its lease reclaimed *without* consuming a retry
-    attempt (losing contact is not evidence against the task).
-    """
-
-    task_id: str
-    worker_id: str
-    attempt: int
-    granted_monotonic: float
-    last_beat_monotonic: float
-    span_id: Optional[str] = None
-    task_index: Optional[int] = None
-
-
-@dataclasses.dataclass
 class _Worker:
     """One persistent local worker process and our end of its pipe."""
 
     proc: multiprocessing.Process
     conn: Any
-    #: The lease it runs: the handle of its pending "done" wakeup.
+    #: The task it runs: the handle of its pending "done" wakeup.
     #: ``None`` = idle; a busy worker is never handed a second task.
     task_id: Optional[str] = None
 
 
 @dataclasses.dataclass
-class _Inflight:
-    """One leased task this incarnation is watching."""
+class _Lease:
+    """One leased task, whoever holds it.
+
+    The holder is our own persistent ``worker``, a remote host's
+    ``worker_id``, or neither: a lease *adopted* from a previous
+    incarnation, whose pid is known only from its heartbeat file.
+    """
 
     task_id: str
-    task: Any  # the rebuilt Task
     attempt: int
     granted_monotonic: float
     span_id: Optional[str] = None
     task_index: Optional[int] = None
-    #: The worker running it, or ``None`` for a lease adopted from a
-    #: previous incarnation (pid known only via heartbeat).
     worker: Optional[_Worker] = None
+    worker_id: Optional[str] = None
+    #: When a remote holder last PUT a heartbeat.
+    last_beat_monotonic: float = 0.0
+
+    @property
+    def adopted(self) -> bool:
+        return self.worker is None and self.worker_id is None
 
 
 class Orchestrator:
@@ -269,18 +269,17 @@ class Orchestrator:
         self.state: ServiceState = fold_journal(self.paths.journal)
         self.trace = TraceRecorder()
         self.spans = SpanRecorder(run_id=self.trace.run_id)
-        self._inflight: Dict[str, _Inflight] = {}
+        #: Every held lease — local, adopted or remote — by task id.
+        self._leases: Dict[str, _Lease] = {}
         self._workers: List[_Worker] = []
         #: Pending tasks already looked up in the cache and missed: such
-        #: a task can only complete through ``_settle`` or
-        #: ``remote_complete``, which journal it themselves.
+        #: a task can only complete through ``_commit``, which journals
+        #: it itself.
         self._cache_missed: Set[str] = set()
         #: Self-pipe, open while ``serve`` runs: writing a byte cuts the
         #: loop's current wait short.
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
-        #: Tasks leased to remote worker hosts over HTTP.
-        self._remote: Dict[str, _RemoteLease] = {}
         #: Serializes every state mutation between the scheduling loop
         #: and the HTTP handler threads.  The journal keeps exactly one
         #: *process* writer; within that process, this lock keeps one
@@ -327,9 +326,13 @@ class Orchestrator:
     def _recover_leases(self) -> None:
         """Adopt-or-reclaim every lease the previous incarnation held."""
         for record in self.state.by_state(TaskState.LEASED):
+            lease = self._leases[record.task_id] = _Lease(
+                task_id=record.task_id,
+                attempt=record.attempts,
+                granted_monotonic=time.monotonic(),
+            )
             hb = heartbeat_path(self.paths.leases, record.task_id)
             pid = read_heartbeat_pid(hb)
-            attempt = record.attempts
             if (
                 pid_alive(pid)
                 and classify_lease(
@@ -341,23 +344,14 @@ class Orchestrator:
                 == "live"
             ):
                 # The worker survived its orchestrator.  Adopt: watch
-                # its outcome file like any other in-flight task.
-                self._inflight[record.task_id] = _Inflight(
-                    task_id=record.task_id,
-                    task=self._build_task(record.task_id, record.description),
-                    attempt=attempt,
-                    granted_monotonic=time.monotonic(),
-                )
+                # its outcome file like any other lease.
                 continue
-            self.journal.append(
+            self._release(
+                lease,
                 "lease_reclaimed",
-                task_id=record.task_id,
-                reason="orchestrator restart",
+                "orchestrator restart",
                 worker_pid=pid,
             )
-            self._remove_lease_files(record.task_id)
-            record.state = TaskState.PENDING
-            record.lease = None
 
     # -- serve loop --------------------------------------------------------
 
@@ -410,8 +404,7 @@ class Orchestrator:
                         self._collect_finished()
                         self._dispatch_pending()
                         idle = (
-                            not self._inflight
-                            and not self._remote
+                            not self.lease_holders()
                             and not self.state.by_state(TaskState.PENDING)
                             and not self.state.by_state(TaskState.LEASED)
                             and not list(self.paths.inbox.glob("*.json"))
@@ -433,8 +426,7 @@ class Orchestrator:
             with self.lock:
                 self.draining = True
                 if not drained:
-                    self._release_inflight(terminate=False)
-                    self._release_remote()
+                    self._release_leases(terminate=False)
                 # An idle worker exits on its pipe's EOF.  One still
                 # running a lease (only after an unexpected error) is not
                 # waited for: its outcome is adopted on restart.
@@ -707,6 +699,11 @@ class Orchestrator:
             worker.proc.join(timeout=5.0)
 
     def _dispatch_pending(self) -> None:
+        # Busy workers (even one finishing a task another holder already
+        # committed) and adopted leases fill the max_workers slots.
+        busy = sum(w.task_id is not None for w in self._workers) + sum(
+            lease.adopted for lease in self._leases.values()
+        )
         for record in self.state.by_state(TaskState.PENDING):
             if record.description is None:
                 continue  # cannot rebuild; journal damage, leave visible
@@ -716,31 +713,15 @@ class Orchestrator:
             # zero-local-worker) service still completes cached points
             # immediately — and ``max_workers=0`` is the pure-remote
             # mode where only HTTP worker hosts execute.
-            if len(self._inflight) >= self.config.max_workers:
+            if busy >= self.config.max_workers:
                 continue
-            task_id = record.task_id
+            busy += 1
             worker = self._idle_worker()
-            attempt = record.attempts
-            span_id = self.spans.start(
-                "point",
-                parent_id=self._sweep_span,
-                task_id=task_id,
-                kind=record.kind,
-                attempt=attempt,
-            )
-            self.journal.append(
-                "lease_granted",
-                task_id=task_id,
-                lease_id=f"{os.getpid()}-{self.journal.seq}",
-                ttl_s=self.config.lease_ttl_s,
-                attempt=attempt,
-            )
-            record.state = TaskState.LEASED
-            maybe_kill("lease_grant")
+            self._grant(record, worker=worker)
+            task_id = record.task_id
             task = self._build_task(task_id, record.description)
             hb = heartbeat_path(self.paths.leases, task_id)
             out = outcome_path(self.paths.outcomes, task_id)
-            self._remove_lease_files(task_id)
             worker.task_id = task_id
             try:
                 worker.conn.send(
@@ -748,23 +729,60 @@ class Orchestrator:
                 )
             except OSError:
                 pass  # died since the liveness check; its sentinel says so
-            self._inflight[task_id] = _Inflight(
-                task_id=task_id,
-                task=task,
-                attempt=attempt,
-                granted_monotonic=time.monotonic(),
-                span_id=span_id,
-                task_index=self._task_index(task_id),
-                worker=worker,
-            )
-            self.trace.record(
-                "started",
-                task_index=self._inflight[task_id].task_index,
-                kind=record.kind,
-                attempt=attempt,
-                span_id=span_id,
-                parent_id=self._sweep_span,
-            )
+
+    def _grant(
+        self,
+        record: Any,
+        worker: Optional[_Worker] = None,
+        worker_id: Optional[str] = None,
+    ) -> _Lease:
+        """Lease a pending task to our ``worker`` or remote ``worker_id``.
+
+        The one path that journals ``lease_granted``; the caller ships
+        the task (the worker's pipe, or the claim response).
+        """
+        task_id = record.task_id
+        attempt = record.attempts
+        remote = {} if worker_id is None else {"worker": worker_id}
+        span_id = self.spans.start(
+            "point",
+            parent_id=self._sweep_span,
+            task_id=task_id,
+            kind=record.kind,
+            attempt=attempt,
+            **remote,
+        )
+        self.journal.append(
+            "lease_granted",
+            task_id=task_id,
+            lease_id=f"{worker_id or os.getpid()}-{self.journal.seq}",
+            ttl_s=self.config.lease_ttl_s,
+            attempt=attempt,
+            **remote,
+        )
+        record.state = TaskState.LEASED
+        maybe_kill("lease_grant")
+        self._remove_lease_files(task_id)
+        now = time.monotonic()
+        lease = self._leases[task_id] = _Lease(
+            task_id=task_id,
+            attempt=attempt,
+            granted_monotonic=now,
+            span_id=span_id,
+            task_index=self._task_index(task_id),
+            worker=worker,
+            worker_id=worker_id,
+            last_beat_monotonic=now,
+        )
+        self.trace.record(
+            "started",
+            task_index=lease.task_index,
+            kind=record.kind,
+            attempt=attempt,
+            span_id=span_id,
+            parent_id=self._sweep_span,
+        )
+        return lease
 
     def _wake(self) -> None:
         """Cut the scheduling loop's current wait short."""
@@ -807,18 +825,23 @@ class Orchestrator:
             task_id, worker.task_id = worker.task_id, None
             if not done:
                 self._retire(worker)
-            entry = self._inflight.get(task_id) if task_id else None
-            if entry is None:
+            if task_id is None:
+                continue
+            lease = self._leases.get(task_id)
+            if lease is None:
+                # Another holder committed this task first: the worker
+                # is free again and whatever it left behind is ignored.
+                self._remove_lease_files(task_id)
                 continue
             outcome = read_outcome(
                 outcome_path(self.paths.outcomes, task_id)
             )
             if outcome is not None:
-                self._settle(entry, outcome)
+                self._settle(lease, outcome)
             else:
                 # Crashed, OOM-killed, or kill -9'd mid-lease.
                 self._fail(
-                    entry,
+                    lease,
                     error=(
                         "worker exited without outcome "
                         f"(exitcode={worker.proc.exitcode})"
@@ -826,66 +849,64 @@ class Orchestrator:
                     error_type="WorkerDied",
                     worker_pid=worker.proc.pid,
                 )
-        for entry in list(self._inflight.values()):
-            if entry.worker is None:  # adopted: only its outcome file
+        for lease in list(self._leases.values()):
+            if lease.adopted:  # only its outcome file to watch
                 outcome = read_outcome(
-                    outcome_path(self.paths.outcomes, entry.task_id)
+                    outcome_path(self.paths.outcomes, lease.task_id)
                 )
                 if outcome is not None:
-                    self._settle(entry, outcome)
+                    self._settle(lease, outcome)
 
-    def _watchdog(self) -> None:
+    def _liveness(self, lease: _Lease, now: float) -> str:
+        """The watchdog's verdict: ``live``/``dead``/``stale``/``overrun``.
+
+        A remote pid means nothing on this host, so a remote lease is
+        judged by the time since its last heartbeat PUT alone; a local
+        or adopted one by :func:`classify_lease` on its heartbeat file.
+        """
         cfg = self.config
-        now = time.monotonic()
-        for task_id in list(self._remote):
-            lease = self._remote[task_id]
-            silent_s = now - lease.last_beat_monotonic
-            overrun = (
-                cfg.task_timeout_s is not None
-                and now - lease.granted_monotonic > cfg.task_timeout_s
-            )
-            if silent_s <= cfg.lease_ttl_s and not overrun:
-                continue
-            # A silent remote host is classified dead — there is no pid
-            # to probe across the wire, heartbeat recency is the only
-            # truth.  Reclaim WITHOUT consuming a retry attempt: losing
-            # contact (partition, host crash) is not evidence against
-            # the task.  If the host was merely partitioned and later
-            # commits its result, remote_complete converges on the
-            # cache key (duplicate commits are idempotent).
-            verdict = "overrun" if overrun else "dead"
-            self.journal.append(
-                "lease_reclaimed",
-                task_id=task_id,
-                reason=f"watchdog: remote {verdict} "
-                f"(silent {silent_s:.1f}s)",
-                worker=lease.worker_id,
-            )
-            record = self.state.tasks.get(task_id)
-            if record is not None and record.state == TaskState.LEASED:
-                record.state = TaskState.PENDING
-                record.lease = None
-            del self._remote[task_id]
-            if lease.span_id:
-                self.spans.end(lease.span_id, status="aborted")
-        for task_id in list(self._inflight):
-            entry = self._inflight[task_id]
-            worker = entry.worker
-            if worker is not None and not worker.proc.is_alive():
-                continue  # _collect_finished handles dead workers
-            hb = heartbeat_path(self.paths.leases, task_id)
-            verdict = classify_lease(
-                hb,
+        elapsed_s = now - lease.granted_monotonic
+        if lease.worker_id is None:
+            return classify_lease(
+                heartbeat_path(self.paths.leases, lease.task_id),
                 cfg.lease_ttl_s,
-                elapsed_s=time.monotonic() - entry.granted_monotonic,
+                elapsed_s=elapsed_s,
                 task_timeout_s=cfg.task_timeout_s,
             )
+        if cfg.task_timeout_s is not None and elapsed_s > cfg.task_timeout_s:
+            return "overrun"
+        if now - lease.last_beat_monotonic > cfg.lease_ttl_s:
+            return "dead"
+        return "live"
+
+    def _watchdog(self) -> None:
+        now = time.monotonic()
+        for lease in list(self._leases.values()):
+            worker = lease.worker
+            if worker is not None and not worker.proc.is_alive():
+                continue  # _collect_finished handles dead workers
+            verdict = self._liveness(lease, now)
             if verdict == "live":
+                continue
+            task_id = lease.task_id
+            if lease.worker_id is not None:
+                # Reclaim WITHOUT consuming a retry attempt: losing
+                # contact (partition, host crash) is not evidence
+                # against the task.  A merely partitioned host may still
+                # commit later; remote_complete accepts that commit.
+                silent_s = now - lease.last_beat_monotonic
+                self._release(
+                    lease,
+                    "lease_reclaimed",
+                    f"watchdog: remote {verdict} (silent {silent_s:.1f}s)",
+                    worker=lease.worker_id,
+                )
                 continue
             # Don't race a worker that published its outcome and is
             # merely slow to exit.
             if read_outcome(outcome_path(self.paths.outcomes, task_id)):
                 continue
+            hb = heartbeat_path(self.paths.leases, task_id)
             pid = (
                 worker.proc.pid
                 if worker is not None
@@ -903,68 +924,33 @@ class Orchestrator:
                 # Adopted orphan went dead/stale: reclaim without
                 # consuming an attempt — we never saw it fail, we only
                 # lost contact.
-                self.journal.append(
+                self._release(
+                    lease,
                     "lease_reclaimed",
-                    task_id=task_id,
-                    reason=f"watchdog: {verdict}",
+                    f"watchdog: {verdict}",
                     worker_pid=pid,
                 )
-                record = self.state.tasks[task_id]
-                record.state = TaskState.PENDING
-                record.lease = None
-                self._remove_lease_files(task_id)
-                del self._inflight[task_id]
-                if entry.span_id:
-                    self.spans.end(entry.span_id, status="aborted")
                 continue
             self._retire(worker)
             self._fail(
-                entry,
+                lease,
                 error=f"watchdog reclaim: {verdict} lease",
                 error_type="Watchdog",
                 worker_pid=pid,
             )
 
-    def _settle(
-        self, entry: _Inflight, outcome: Dict[str, Any]
-    ) -> None:
-        task_id = entry.task_id
-        record = self.state.tasks[task_id]
+    def _settle(self, lease: _Lease, outcome: Dict[str, Any]) -> None:
         if outcome.get("ok"):
             envelope = outcome.get("envelope") or {}
             result = envelope.get("result")
             if isinstance(result, dict):
-                self.cache.put(
-                    task_id, result, record.description or {}
-                )
-                maybe_kill("result_commit")
-                self.journal.append(
-                    "task_completed",
-                    task_id=task_id,
-                    source="worker",
-                    result_sha256=result_checksum(result),
+                self._commit(
+                    lease.task_id,
+                    result,
                     worker_pid=envelope.get("worker_pid"),
                     elapsed_s=envelope.get("elapsed_s"),
+                    spans=envelope.get("spans"),
                 )
-                record.state = TaskState.COMPLETED
-                record.completed_from = "worker"
-                record.lease = None
-                spans = envelope.get("spans")
-                if spans:
-                    self.spans.adopt(spans)
-                self.trace.record(
-                    "finished",
-                    task_index=entry.task_index,
-                    kind=record.kind,
-                    attempt=entry.attempt,
-                    duration_s=envelope.get("elapsed_s"),
-                    worker_pid=envelope.get("worker_pid"),
-                    span_id=entry.span_id,
-                )
-                if entry.span_id:
-                    self.spans.end(entry.span_id, status="ok")
-                self._remove_lease_files(task_id)
-                del self._inflight[task_id]
                 return
             outcome = {
                 "ok": False,
@@ -972,49 +958,75 @@ class Orchestrator:
                 "error_type": "BadOutcome",
             }
         self._fail(
-            entry,
+            lease,
             error=str(outcome.get("error", "unknown")),
             error_type=str(outcome.get("error_type", "Unknown")),
             traceback_text=outcome.get("traceback"),
             worker_pid=(
-                entry.worker.proc.pid if entry.worker is not None else None
+                lease.worker.proc.pid if lease.worker is not None else None
             ),
         )
 
-    def _fail(
-        self,
-        entry: _Inflight,
-        error: str,
-        error_type: str,
-        traceback_text: Optional[str] = None,
-        worker_pid: Optional[int] = None,
-    ) -> None:
-        del self._inflight[entry.task_id]
-        self._record_failure(
-            entry.task_id,
-            error=error,
-            error_type=error_type,
-            traceback_text=traceback_text,
-            worker_pid=worker_pid,
-            span_id=entry.span_id,
-            task_index=entry.task_index,
-        )
-
-    def _record_failure(
+    def _commit(
         self,
         task_id: str,
+        result: Dict[str, Any],
+        worker_id: Optional[str] = None,
+        worker_pid: Optional[int] = None,
+        elapsed_s: Optional[float] = None,
+        spans: Optional[List[Dict[str, Any]]] = None,
+    ) -> None:
+        """Commit a worker's result and drop the task's lease.
+
+        The one path that journals ``task_completed`` from a worker.
+        Commit order is the ``result_commit`` crash window: ``cache.put``
+        → kill point → journal.  The task's lease is dropped whoever
+        holds it, so no later report from another holder can reopen it.
+        """
+        record = self.state.tasks[task_id]
+        self.cache.put(task_id, result, record.description or {})
+        maybe_kill("result_commit")
+        self.journal.append(
+            "task_completed",
+            task_id=task_id,
+            source="worker",
+            result_sha256=result_checksum(result),
+            worker=worker_id,
+            worker_pid=worker_pid,
+            elapsed_s=elapsed_s,
+        )
+        record.state = TaskState.COMPLETED
+        record.completed_from = "worker"
+        record.lease = None
+        lease = self._leases.pop(task_id, None)
+        if spans:
+            self.spans.adopt(spans)
+        self.trace.record(
+            "finished",
+            task_index=self._task_index(task_id),
+            kind=record.kind,
+            attempt=lease.attempt if lease else record.attempts,
+            duration_s=elapsed_s,
+            worker_pid=worker_pid,
+            span_id=lease.span_id if lease else None,
+        )
+        if lease and lease.span_id:
+            self.spans.end(lease.span_id, status="ok")
+        self._remove_lease_files(task_id)
+
+    def _fail(
+        self,
+        lease: _Lease,
         *,
         error: str,
         error_type: str,
         traceback_text: Optional[str] = None,
         worker_pid: Optional[int] = None,
         worker_id: Optional[str] = None,
-        span_id: Optional[str] = None,
-        task_index: Optional[int] = None,
     ) -> None:
-        """One failed attempt: journal, retry-or-quarantine.  Shared by
-        the local worker paths and the remote ``/v1/tasks/<id>/fail``
-        route."""
+        """One failed attempt: drop the lease, journal, retry-or-quarantine."""
+        task_id = lease.task_id
+        del self._leases[task_id]
         record = self.state.tasks[task_id]
         attempt = record.attempts + 1
         self.journal.append(
@@ -1042,8 +1054,8 @@ class Orchestrator:
             }
         )
         self._remove_lease_files(task_id)
-        if span_id:
-            self.spans.end(span_id, status="error")
+        if lease.span_id:
+            self.spans.end(lease.span_id, status="error")
         if attempt > self.config.max_retries:
             record_path = write_quarantine_record(
                 self.paths.quarantine,
@@ -1051,7 +1063,7 @@ class Orchestrator:
                 record.description or {},
                 self._failures[task_id],
                 run_id=self.trace.run_id,
-                span_id=span_id,
+                span_id=lease.span_id,
             )
             self.journal.append(
                 "task_quarantined",
@@ -1063,37 +1075,62 @@ class Orchestrator:
             record.quarantine_record = str(record_path)
             self.trace.record(
                 "failed",
-                task_index=task_index,
+                task_index=lease.task_index,
                 kind=record.kind,
                 attempt=attempt,
                 error=f"{error_type}: {error}",
-                span_id=span_id,
+                span_id=lease.span_id,
             )
         else:
             record.state = TaskState.PENDING
             self.trace.record(
                 "retried",
-                task_index=task_index,
+                task_index=lease.task_index,
                 kind=record.kind,
                 attempt=attempt,
                 error=f"{error_type}: {error}",
-                span_id=span_id,
+                span_id=lease.span_id,
             )
 
+    def _release(
+        self, lease: _Lease, event: str, reason: str, **fields: Any
+    ) -> None:
+        """End a lease WITHOUT consuming an attempt (``event`` is
+        ``lease_reclaimed`` or ``lease_released``): a lost contact or a
+        stop is not evidence against the task, which goes back to
+        PENDING."""
+        task_id = lease.task_id
+        del self._leases[task_id]
+        self.journal.append(event, task_id=task_id, reason=reason, **fields)
+        record = self.state.tasks.get(task_id)
+        if record is not None and record.state == TaskState.LEASED:
+            record.state = TaskState.PENDING
+            record.lease = None
+        self._remove_lease_files(task_id)
+        if lease.span_id:
+            self.spans.end(lease.span_id, status="aborted")
+
     # -- remote sharding (the HTTP worker protocol) ------------------------
+
+    def lease_holders(self) -> Dict[str, Optional[str]]:
+        """Task id → remote worker id of every held lease (``None`` for
+        a local or adopted one)."""
+        with self.lock:
+            return {
+                task_id: lease.worker_id
+                for task_id, lease in self._leases.items()
+            }
 
     def remote_claim(self, worker_id: str) -> Optional[Dict[str, Any]]:
         """Lease one pending task to a remote worker host; ``None`` when
         nothing is claimable.
 
-        The remote twin of ``_dispatch_pending``'s spawn branch: same
-        journal record (``lease_granted``, plus the worker id), same
-        cache fast-path (an already-cached pending task is completed
-        here, never shipped), same attempt accounting.  The returned
-        shard carries the full task description — the remote host
-        rebuilds the :class:`~repro.runner.tasks.Task` with its exact
-        :class:`~repro.runner.seeding.SeedSpec`, so where a task runs
-        can never change its bits.
+        Same grant, cache fast-path (an already-cached pending task is
+        completed here, never shipped) and attempt accounting as a local
+        lease.  The returned shard carries the full task description —
+        the remote host rebuilds the :class:`~repro.runner.tasks.Task`
+        with its exact :class:`~repro.runner.seeding.SeedSpec`, so where
+        a task runs can never change its bits.
         """
         with self.lock:
             if self.draining or self.closed:
@@ -1104,48 +1141,11 @@ class Orchestrator:
                     continue
                 if self._complete_from_cache(record):
                     continue
-                task_id = record.task_id
-                attempt = record.attempts
-                span_id = self.spans.start(
-                    "point",
-                    parent_id=self._sweep_span,
-                    task_id=task_id,
-                    kind=record.kind,
-                    attempt=attempt,
-                    worker=worker_id,
-                )
-                self.journal.append(
-                    "lease_granted",
-                    task_id=task_id,
-                    lease_id=f"{worker_id}-{self.journal.seq}",
-                    ttl_s=self.config.lease_ttl_s,
-                    attempt=attempt,
-                    worker=worker_id,
-                )
-                record.state = TaskState.LEASED
-                maybe_kill("lease_grant")
-                now = time.monotonic()
-                self._remote[task_id] = _RemoteLease(
-                    task_id=task_id,
-                    worker_id=worker_id,
-                    attempt=attempt,
-                    granted_monotonic=now,
-                    last_beat_monotonic=now,
-                    span_id=span_id,
-                    task_index=self._task_index(task_id),
-                )
-                self.trace.record(
-                    "started",
-                    task_index=self._task_index(task_id),
-                    kind=record.kind,
-                    attempt=attempt,
-                    span_id=span_id,
-                    parent_id=self._sweep_span,
-                )
+                lease = self._grant(record, worker_id=worker_id)
                 return {
-                    "task_id": task_id,
+                    "task_id": record.task_id,
                     "task": record.description,
-                    "attempt": attempt,
+                    "attempt": lease.attempt,
                     "lease_ttl_s": self.config.lease_ttl_s,
                     "heartbeat_interval_s": self.config.heartbeat_interval_s,
                 }
@@ -1160,7 +1160,7 @@ class Orchestrator:
         but it must not rely on exclusivity.
         """
         with self.lock:
-            lease = self._remote.get(task_id)
+            lease = self._leases.get(task_id)
             if lease is None or lease.worker_id != worker_id:
                 return False
             lease.last_beat_monotonic = time.monotonic()
@@ -1178,13 +1178,12 @@ class Orchestrator:
         """Commit a remote result: ``committed`` / ``duplicate`` /
         ``unknown``.
 
-        Commit order is exactly PR 9's crash window: ``cache.put`` →
-        (``result_commit`` kill point) → journal ``task_completed``.  A
-        partition between the commit and the worker seeing the ack
+        A partition between the commit and the worker seeing the ack
         converges on redelivery: the retried request finds the task
         COMPLETED and is answered ``duplicate`` — same bits, no
         recomputation.  Commits are accepted even when the lease was
-        reclaimed meanwhile (task identity is the cache key; a correct
+        reclaimed meanwhile, and even when the task is leased again to
+        another holder (task identity is the cache key; a correct
         result is a correct result regardless of who held the lease).
         """
         with self.lock:
@@ -1196,35 +1195,14 @@ class Orchestrator:
             if record.state == TaskState.COMPLETED:
                 return "duplicate"
             self._wake()
-            self.cache.put(task_id, result, record.description or {})
-            maybe_kill("result_commit")
-            self.journal.append(
-                "task_completed",
-                task_id=task_id,
-                source="worker",
-                result_sha256=result_checksum(result),
-                worker=worker_id,
+            self._commit(
+                task_id,
+                result,
+                worker_id=worker_id,
                 worker_pid=worker_pid,
                 elapsed_s=elapsed_s,
+                spans=spans,
             )
-            record.state = TaskState.COMPLETED
-            record.completed_from = "worker"
-            record.lease = None
-            lease = self._remote.pop(task_id, None)
-            if spans:
-                self.spans.adopt(spans)
-            self.trace.record(
-                "finished",
-                task_index=self._task_index(task_id),
-                kind=record.kind,
-                attempt=lease.attempt if lease else record.attempts,
-                duration_s=elapsed_s,
-                worker_pid=worker_pid,
-                span_id=lease.span_id if lease else None,
-            )
-            if lease and lease.span_id:
-                self.spans.end(lease.span_id, status="ok")
-            self._remove_lease_files(task_id)
             return "committed"
 
     def remote_fail(
@@ -1245,19 +1223,16 @@ class Orchestrator:
         with self.lock:
             if self.closed:
                 return "ignored"
-            lease = self._remote.get(task_id)
+            lease = self._leases.get(task_id)
             if lease is None or lease.worker_id != worker_id:
                 return "ignored"
             self._wake()
-            del self._remote[task_id]
-            self._record_failure(
-                task_id,
+            self._fail(
+                lease,
                 error=error,
                 error_type=error_type,
                 traceback_text=traceback_text,
                 worker_id=worker_id,
-                span_id=lease.span_id,
-                task_index=lease.task_index,
             )
             return "failed"
 
@@ -1274,64 +1249,45 @@ class Orchestrator:
         """
         with self.lock:
             self.draining = True
+            remote = sum(
+                lease.worker_id is not None for lease in self._leases.values()
+            )
             self.journal.append(
                 "drain_start",
                 pid=os.getpid(),
-                inflight=len(self._inflight),
-                remote=len(self._remote),
+                inflight=len(self._leases) - remote,
+                remote=remote,
             )
         deadline = time.monotonic() + self.config.drain_timeout_s
         while True:
             with self.lock:
                 self._collect_finished()
-                if not self._inflight and not self._remote:
+                if not self._leases:
                     break
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             self._wait(min(self.config.poll_interval_s, remaining))
         with self.lock:
-            self._release_inflight(terminate=True)
-            self._release_remote()
+            self._release_leases(terminate=True)
 
-    def _release_remote(self) -> None:
-        for task_id in list(self._remote):
-            lease = self._remote.pop(task_id)
-            self.journal.append(
-                "lease_released",
-                task_id=task_id,
-                reason="drain",
-                worker=lease.worker_id,
-            )
-            record = self.state.tasks.get(task_id)
-            if record is not None and record.state == TaskState.LEASED:
-                record.state = TaskState.PENDING
-                record.lease = None
-            if lease.span_id:
-                self.spans.end(lease.span_id, status="aborted")
-
-    def _release_inflight(self, terminate: bool) -> None:
-        for task_id in list(self._inflight):
-            entry = self._inflight.pop(task_id)
-            worker = entry.worker
-            if terminate and worker is not None and worker.proc.is_alive():
+    def _release_leases(self, terminate: bool) -> None:
+        # Every busy worker stops, including one whose task another
+        # holder already committed (it holds no lease any more).
+        for worker in self._workers if terminate else ():
+            if worker.task_id is not None and worker.proc.is_alive():
                 worker.proc.terminate()
                 worker.proc.join(timeout=2.0)
                 if worker.proc.is_alive():
                     worker.proc.kill()
                     worker.proc.join(timeout=2.0)
-            self.journal.append(
+        for lease in list(self._leases.values()):
+            self._release(
+                lease,
                 "lease_released",
-                task_id=task_id,
-                reason="drain" if terminate else "shutdown",
+                "drain" if terminate else "shutdown",
+                worker=lease.worker_id,
             )
-            record = self.state.tasks.get(task_id)
-            if record is not None and record.state == TaskState.LEASED:
-                record.state = TaskState.PENDING
-                record.lease = None
-            self._remove_lease_files(task_id)
-            if entry.span_id:
-                self.spans.end(entry.span_id, status="aborted")
 
     # -- helpers -----------------------------------------------------------
 

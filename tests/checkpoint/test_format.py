@@ -135,3 +135,14 @@ class TestStore:
         removed = store.prune(keep_last=2)
         assert removed == 3
         assert store.sequence_numbers() == [4, 5]
+
+
+class TestKillHook:
+    def test_malformed_kill_spec_raises(self, tmp_path, monkeypatch):
+        """A typo in REPRO_CHECKPOINT_KILL fails loudly, not silently."""
+        from repro.checkpoint.format import KILL_ENV
+
+        monkeypatch.setenv(KILL_ENV, "two")
+        store = CheckpointStore(str(tmp_path))
+        with pytest.raises(ValueError, match=KILL_ENV):
+            store.write(_checkpoint(seq=1))

@@ -278,7 +278,7 @@ class TestRemoteExecution:
                 "lease_reclaimed", task_id=task_id, reason="test"
             )
             orch.state.tasks[task_id].state = TaskState.PENDING
-            del orch._remote[task_id]
+            del orch._leases[task_id]
         status3, _doc, _ = http_json("PUT", hb_url, body={"worker_id": "w1"})
         assert status3 == 409
 
